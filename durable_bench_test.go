@@ -1,9 +1,9 @@
 package datacitation
 
-// Durability benchmarks: the journaled ingest path (BenchmarkIngest) and
-// boot recovery of a directory with a committed history
-// (BenchmarkRecovery). Both run in the CI bench smoke next to the E-suite
-// and land in BENCH_eval.json.
+// Durability benchmarks: the journaled ingest path (BenchmarkIngest), the
+// durable commit (BenchmarkCommit) and boot recovery of a directory with
+// a committed history (BenchmarkRecovery). All run in the CI bench smoke
+// next to the E-suite and land in BENCH_eval.json.
 
 import (
 	"fmt"
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/experiments"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -93,6 +94,48 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		if re.Store().Latest() != 10 {
 			b.Fatalf("recovered %d versions", re.Store().Latest())
+		}
+	}
+}
+
+// BenchmarkCommit measures the durable commit path on the 2000-family
+// GtoPdb fixture: each op journals 10 FamilyIntro rewrites (delete the old
+// introduction, insert a new one) and then commits. The commit digests
+// the whole database, so this is where the cost of the canonical encoding
+// shows; only FamilyIntro changes between commits.
+func BenchmarkCommit(b *testing.B) {
+	const rewrites = 10
+	sys, err := experiments.GtoPdbSystem(2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := filepath.Join(b.TempDir(), "data")
+	if err := sys.EnableDurability(dir, core.DurableOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	defer sys.CloseDurability()
+	if _, _, err := sys.CommitVersioned("initial load"); err != nil {
+		b.Fatal(err)
+	}
+	intro := sys.Database().Relation("FamilyIntro").SortedTuples()
+	rev := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for range rewrites {
+			k := rev % len(intro)
+			rev++
+			next := storage.Tuple{intro[k][0], value.String(fmt.Sprintf("Revised introduction %d.", rev))}
+			if _, err := sys.Delete("FamilyIntro", []storage.Tuple{intro[k]}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.Insert("FamilyIntro", []storage.Tuple{next}); err != nil {
+				b.Fatal(err)
+			}
+			intro[k] = next
+		}
+		if _, _, err := sys.CommitVersioned(fmt.Sprintf("commit %d", i)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

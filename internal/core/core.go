@@ -82,6 +82,13 @@ type System struct {
 	ckptCount        int64
 	recoveryDur      time.Duration
 	recoveredVer     fixity.Version
+
+	// digests[i] is Version(i+1)'s database digest as journaled by its
+	// durable commit or re-verified by its restore, so checkpoints reuse
+	// it instead of re-digesting history under the writer lock. Versions
+	// committed before EnableDurability have no entry (or "") until a
+	// checkpoint computes and keeps one. Guarded by mu.
+	digests []string
 }
 
 // NewSystem creates a citation-enabled database over the schema.
@@ -432,6 +439,7 @@ func (s *System) CommitDelta(message string) (fixity.VersionInfo, int64, []strin
 		if err := s.store.RestoreCommit(info); err != nil {
 			return fixity.VersionInfo{}, s.epoch, nil, err
 		}
+		s.setDigestLocked(info.Version, meta.Digest)
 	}
 	// Delta-aware invalidation: evict only the generator cache entries
 	// that depend on a relation this commit touched (detected by

@@ -260,6 +260,12 @@ func (s *System) applyEntry(e durable.Entry) error {
 // restoreVersion rebuilds one committed version from its logged metadata
 // and proves the rebuilt snapshot digests identically to the one the
 // original process committed.
+//
+// The digest is taken on the head right after RestoreCommit rather than on
+// the new frozen snapshot: the contents are identical at that point
+// (recovery is single-threaded), and the head memoizes each relation's
+// canonical encoding, so a replayed version re-sorts only the relations
+// its batches touched instead of the whole database.
 func (s *System) restoreVersion(meta durable.CommitMeta) error {
 	info := fixity.VersionInfo{
 		Version:   fixity.Version(meta.Version),
@@ -270,15 +276,34 @@ func (s *System) restoreVersion(meta durable.CommitMeta) error {
 	if err := s.store.RestoreCommit(info); err != nil {
 		return err
 	}
-	db, err := s.store.At(info.Version)
-	if err != nil {
-		return err
-	}
-	if got := fixity.DatabaseDigest(db); got != meta.Digest {
+	if got := fixity.DatabaseDigest(s.store.Head()); got != meta.Digest {
 		return fmt.Errorf("%w: version %d digest mismatch: rebuilt %s, committed %s",
 			durable.ErrCorrupt, info.Version, got, meta.Digest)
 	}
+	s.setDigestLocked(info.Version, meta.Digest)
 	return nil
+}
+
+// setDigestLocked records version v's verified database digest. Called
+// with the exclusive system lock held (or before the system is shared).
+func (s *System) setDigestLocked(v fixity.Version, digest string) {
+	for len(s.digests) < int(v) {
+		s.digests = append(s.digests, "")
+	}
+	s.digests[v-1] = digest
+}
+
+// versionDigestLocked returns version v's database digest: the one its
+// durable commit or restore recorded, or — for a version committed before
+// EnableDurability — one computed from its snapshot now and kept. Called
+// with the exclusive system lock held (or before the system is shared).
+func (s *System) versionDigestLocked(v fixity.Version, db *storage.Database) string {
+	if int(v) <= len(s.digests) && s.digests[v-1] != "" {
+		return s.digests[v-1]
+	}
+	d := fixity.DatabaseDigest(db)
+	s.setDigestLocked(v, d)
+	return d
 }
 
 // applyViewDef registers a logged view definition without journaling.
@@ -338,7 +363,9 @@ func staticRecord(pairs [][2]string) format.Record {
 // buildCheckpointLocked serializes the full logical state at the given
 // log watermark: the policy name, every view, the version history as a
 // chain of canonical deltas (each with its commit metadata and digest),
-// and the head as a delta from the latest version. Called with the
+// and the head as a delta from the latest version. Digests come from
+// versionDigestLocked, so only versions committed before EnableDurability
+// are ever digested here, and each of those once. Called with the
 // exclusive system lock held (or before the system is shared).
 func (s *System) buildCheckpointLocked(watermark uint64) *durable.Checkpoint {
 	c := &durable.Checkpoint{Watermark: watermark, Policy: s.polName}
@@ -365,7 +392,7 @@ func (s *System) buildCheckpointLocked(watermark uint64) *durable.Checkpoint {
 				Timestamp: info.Timestamp.UnixNano(),
 				Message:   info.Message,
 				Tuples:    int64(info.Tuples),
-				Digest:    fixity.DatabaseDigest(db),
+				Digest:    s.versionDigestLocked(v, db),
 			},
 			Delta: durable.DiffDatabases(prev, db),
 		})

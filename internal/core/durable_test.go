@@ -433,3 +433,94 @@ func TestDurableRefusesUnjournaledCommit(t *testing.T) {
 		t.Fatalf("recovered latest = %d, want 1", re.Store().Latest())
 	}
 }
+
+// TestDurableCheckpointReusesDigests checks that the digests recorded at
+// commit and restore are the ones checkpoints journal: versions committed
+// before EnableDurability are digested once, by the enabling checkpoint;
+// every later version keeps its commit-time digest; and a checkpoint
+// round-trips through Open with the same digest for every version, each
+// equal to a fresh digest of that version's snapshot.
+func TestDurableCheckpointReusesDigests(t *testing.T) {
+	sys := paperSystem(t)
+	sys.Commit("in-memory v1")
+	if len(sys.digests) != 0 {
+		t.Fatalf("in-memory commit recorded digests %q", sys.digests)
+	}
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := sys.EnableDurability(dir, DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.digests) != 1 || sys.digests[0] == "" {
+		t.Fatalf("enabling checkpoint left digests %q, want one for v1", sys.digests)
+	}
+	const n = 6
+	for i := int64(0); i < n; i++ {
+		if _, err := sys.Insert("Family", []storage.Tuple{famTuple(30+i, "F", "D")}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if _, err := sys.Delete("Family", []storage.Tuple{famTuple(29+i, "F", "D")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Commit("durable")
+		if i == n/2 {
+			if err := sys.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string(nil), sys.digests...)
+	if len(want) != n+1 {
+		t.Fatalf("%d digests for %d versions", len(want), n+1)
+	}
+	for v := fixity.Version(1); v <= sys.Store().Latest(); v++ {
+		db, err := sys.Store().At(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fixity.DatabaseDigest(db); got != want[v-1] {
+			t.Fatalf("version %d: recorded digest %s, snapshot digests %s", v, want[v-1], got)
+		}
+	}
+	if err := sys.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := durable.LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt.Versions) != len(want) {
+		t.Fatalf("checkpoint holds %d versions, want %d", len(ckpt.Versions), len(want))
+	}
+	for i, vs := range ckpt.Versions {
+		if vs.Meta.Digest != want[i] {
+			t.Fatalf("checkpoint version %d digest %s, want %s", i+1, vs.Meta.Digest, want[i])
+		}
+	}
+	for round := 0; round < 2; round++ {
+		re, err := Open(dir, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(re.digests) != len(want) {
+			t.Fatalf("round %d: recovered %d digests, want %d", round, len(re.digests), len(want))
+		}
+		for i := range want {
+			if re.digests[i] != want[i] {
+				t.Fatalf("round %d: version %d digest %s, want %s", round, i+1, re.digests[i], want[i])
+			}
+		}
+		// Re-checkpoint the recovered system: the next round recovers
+		// purely from a checkpoint built out of restored digests.
+		if err := re.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := re.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -96,3 +96,39 @@ func TestDeepNestingBounded(t *testing.T) {
 		t.Fatal("paren soup accepted")
 	}
 }
+
+// TestFloatLiteralRoundTrip is the print/reparse regression for float
+// constants whose display form reads as an integer: "A(X, 2.0)" used to
+// print as "A(X, 2)", reparse as int 2, and share its Signature with the
+// int query. Pins and journaled views store the printed text, so the
+// printed form must reparse to the same constant kind.
+func TestFloatLiteralRoundTrip(t *testing.T) {
+	for _, c := range []struct{ float, int string }{
+		{"Q(X) :- A(X, 2.0)", "Q(X) :- A(X, 2)"},
+		{"Q(X) :- A(X, -0.0)", "Q(X) :- A(X, 0)"},
+		{"Q(X) :- A(X, 3e0)", "Q(X) :- A(X, 3)"},
+	} {
+		q, err := Parse(c.float)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := Parse(q.String())
+		if err != nil {
+			t.Fatalf("%s: printed form %q does not reparse: %v", c.float, q.String(), err)
+		}
+		if got, want := re.Body[0].Terms[1].Const, q.Body[0].Terms[1].Const; got != want {
+			t.Errorf("%s: printed as %q, reparsed constant %v (%s), want %v (%s)",
+				c.float, q.String(), got, got.Kind(), want, want.Kind())
+		}
+		if re.String() != q.String() {
+			t.Errorf("%s: print is not a fixed point: %q then %q", c.float, q.String(), re.String())
+		}
+		iq, err := Parse(c.int)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iq.Signature() == q.Signature() {
+			t.Errorf("float query %q and int query %q share signature %q", c.float, c.int, q.Signature())
+		}
+	}
+}

@@ -74,9 +74,12 @@ func (st *Store) Head() *storage.Database {
 }
 
 // Commit snapshots the head as a new immutable version and returns it.
-// Snapshots are copy-on-write (storage.Database.Snapshot): commit cost is
-// O(relations), and any number of Cite calls can read a committed version
-// concurrently without locking.
+// Snapshots are copy-on-write (storage.Database.Snapshot): the snapshot
+// itself costs O(relations), and any number of Cite calls can read a
+// committed version concurrently without locking. Durable commits
+// (core.System with an attached log) go through RestoreCommit instead and
+// also digest the head before journaling it; that digest, not the
+// snapshot, dominates their cost.
 func (st *Store) Commit(message string) VersionInfo {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -175,20 +178,23 @@ func Digest(tuples []storage.Tuple) string {
 }
 
 // DatabaseDigest computes the canonical SHA-256 digest of a whole
-// database: relations in schema order, each hashed as its name followed
-// by its tuples in canonical (sorted) order. Two databases digest equal
+// database: relations in schema order, each hashed as its name, a 0xff
+// byte, and its canonical encoding (storage.Relation.Canonical: tuples in
+// sorted order, each key followed by a 0 byte). Two databases digest equal
 // iff every relation is equal as a set. Commit log entries carry this
 // digest so recovery can prove a rebuilt snapshot is byte-equivalent to
 // the one the original process committed.
+//
+// On a mutable head the per-relation encodings are memoized, so the cost
+// is a sort of the relations written since the previous digest plus one
+// hash pass over the database's bytes. On a frozen snapshot every
+// relation is sorted and rendered afresh.
 func DatabaseDigest(db *storage.Database) string {
 	h := sha256.New()
 	for _, name := range db.Schema().Names() {
 		h.Write([]byte(name))
 		h.Write([]byte{0xff})
-		for _, t := range db.Relation(name).SortedTuples() {
-			h.Write([]byte(t.Key()))
-			h.Write([]byte{0})
-		}
+		h.Write(db.Relation(name).Canonical())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

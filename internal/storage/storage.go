@@ -67,15 +67,22 @@ func (t Tuple) Compare(u Tuple) int {
 
 // Key renders the tuple as a canonical string usable as a map key.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [128]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the tuple's canonical rendering (Key) to dst and
+// returns the extended slice: per value its kind digit and its String
+// form, values separated by 0x1f.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			dst = append(dst, '\x1f')
 		}
-		b.WriteByte(byte('0' + v.Kind()))
-		b.WriteString(v.String())
+		dst = append(dst, byte('0'+v.Kind()))
+		dst = v.AppendString(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Clone returns an independent copy of the tuple.
@@ -119,6 +126,14 @@ type Relation struct {
 	statsMu  sync.Mutex
 	statsGen atomic.Uint64
 	distinct map[int]int
+
+	// canon memoizes Canonical on mutable relations (nil = not computed;
+	// an empty relation memoizes a non-nil empty slice). Guarded by
+	// statsMu and dropped by bumpStats exactly like distinct, so a non-nil
+	// memo always describes the current generation. Frozen relations never
+	// set it: a snapshot's encoding is rebuilt on demand rather than kept
+	// once per version.
+	canon []byte
 
 	// Columnar cache (see columnar.go): the current dictionary-encoded
 	// block, the demand counter that decides when a mutable relation earns
@@ -272,6 +287,7 @@ func (r *Relation) bumpStats() {
 	r.statsMu.Lock()
 	r.statsGen.Add(1)
 	r.distinct = nil
+	r.canon = nil
 	r.statsMu.Unlock()
 	// Readers validate blk.gen against statsGen, so clearing the pointer
 	// is an optimization (freeing the memory promptly), not a correctness
@@ -558,6 +574,13 @@ func (r *Relation) Scan(fn func(Tuple) bool) {
 
 // Tuples returns a snapshot slice of all live tuples in insertion order.
 func (r *Relation) Tuples() []Tuple {
+	out, _ := r.tuplesGen()
+	return out
+}
+
+// tuplesGen is Tuples plus the content generation the returned tuples
+// belong to, read under the same lock so the pair is consistent.
+func (r *Relation) tuplesGen() ([]Tuple, uint64) {
 	r.rLock()
 	defer r.rUnlock()
 	out := make([]Tuple, 0, len(r.present))
@@ -566,15 +589,62 @@ func (r *Relation) Tuples() []Tuple {
 			out = append(out, t)
 		}
 	}
-	return out
+	return out, r.statsGen.Load()
 }
 
 // SortedTuples returns all live tuples in canonical (lexicographic) order,
 // for deterministic output in tests and formatters.
 func (r *Relation) SortedTuples() []Tuple {
-	out := r.Tuples()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return sortTuples(r.Tuples())
+}
+
+func sortTuples(ts []Tuple) []Tuple {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	return ts
+}
+
+// Canonical returns the relation's canonical encoding: the live tuples in
+// SortedTuples order, each rendered by AppendKey and followed by a 0 byte.
+// The database digest (fixity.DatabaseDigest) hashes it, so its bytes are
+// part of every durable data directory and must never change.
+//
+// On a mutable relation the encoding is memoized until the next content
+// mutation, so a commit re-sorts only the relations written since the
+// previous digest. Following DistinctCount, a fill stores its result only
+// if no mutation landed while it ran; bumpStats drops the memo, so the
+// call never returns an encoding older than the generation current when
+// it started. Frozen snapshots compute the encoding on every call and
+// keep nothing. The returned slice is shared and must not be modified.
+func (r *Relation) Canonical() []byte {
+	if r.frozen {
+		return encodeCanonical(r.SortedTuples())
+	}
+	r.statsMu.Lock()
+	c := r.canon
+	r.statsMu.Unlock()
+	if c != nil {
+		return c
+	}
+	ts, gen := r.tuplesGen()
+	c = encodeCanonical(sortTuples(ts))
+	r.statsMu.Lock()
+	if r.statsGen.Load() == gen {
+		r.canon = c
+	}
+	r.statsMu.Unlock()
+	return c
+}
+
+// encodeCanonical renders sorted tuples as Canonical describes. The
+// capacity guess is about the mean key length of the GtoPdb fixture; the
+// result is always non-nil, even for no tuples.
+func encodeCanonical(sorted []Tuple) []byte {
+	dst := make([]byte, 0, 32*len(sorted))
+	for _, t := range sorted {
+		dst = t.AppendKey(dst)
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // DistinctCount returns the number of distinct values in column col. It is

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -86,21 +87,38 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i, 10) // small values render without allocating
+	}
+	var buf [40]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends the String rendering of v to dst and returns the
+// extended slice. It is the one canonical rendering: Tuple keys, and
+// through them the database digest, are built from it.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindString:
+		return append(dst, v.s...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindTime:
-		return time.Unix(0, v.i).UTC().Format(time.RFC3339Nano)
+		return time.Unix(0, v.i).UTC().AppendFormat(dst, time.RFC3339Nano)
 	default:
-		return fmt.Sprintf("value(%d)", uint8(v.kind))
+		return fmt.Appendf(dst, "value(%d)", uint8(v.kind))
 	}
 }
 
 // Quote renders the value as a literal that the query parser accepts:
 // strings are single-quoted with internal quotes doubled; other kinds use
-// their natural literal form.
+// their natural literal form. A finite float whose String form reads as
+// an integer ("2", "-0") gets a ".0" suffix, so the literal reparses as a
+// float rather than as the int of the same digits.
 func (v Value) Quote() string {
-	if v.kind == KindString {
+	switch v.kind {
+	case KindString:
 		out := make([]byte, 0, len(v.s)+2)
 		out = append(out, '\'')
 		for i := 0; i < len(v.s); i++ {
@@ -112,6 +130,12 @@ func (v Value) Quote() string {
 		}
 		out = append(out, '\'')
 		return string(out)
+	case KindFloat:
+		s := v.String()
+		if !math.IsInf(v.f, 0) && !math.IsNaN(v.f) && !strings.ContainsAny(s, ".eE") {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }

@@ -74,10 +74,27 @@ func TestQuote(t *testing.T) {
 		{String(""), "''"},
 		{Int(5), "5"},
 		{Float(0.25), "0.25"},
+		// Integral floats keep a fraction so they reparse as floats; the
+		// display form (String, and through it Tuple.Key) is unchanged.
+		{Float(2), "2.0"},
+		{Float(math.Copysign(0, -1)), "-0.0"},
+		{Float(1e21), "1e+21"},
+		{Float(-1e-7), "-1e-07"},
 	}
 	for _, c := range cases {
 		if got := c.v.Quote(); got != c.want {
 			t.Errorf("Quote(%v) = %q, want %q", c.v, got, c.want)
+		}
+		if back := Parse(c.v.Quote()); c.v.Kind() != KindString && back.Kind() != c.v.Kind() {
+			t.Errorf("Parse(Quote(%v)) has kind %s, want %s", c.v, back.Kind(), c.v.Kind())
+		}
+	}
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{{Float(2), "2"}, {Float(math.Copysign(0, -1)), "-0"}} {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }
